@@ -3,7 +3,8 @@ GO ?= go
 .PHONY: check vet build test race bench faults metricsguard storeguard indexguard kernelguard specguard fuzzsmoke crashguard clusterguard faultguard routecheck
 
 # check is the CI gate: vet, build, and the full test suite under the
-# race detector.
+# race detector at 1, 2 and 4 CPUs, so behaviour that depends on the
+# core count shows on any box.
 check: vet build race
 
 vet:
@@ -16,7 +17,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./...
 
 # faults runs the fault-injection suite under the race detector:
 # injected panics, oversized bodies, shed load, exhausted compute
@@ -26,8 +27,9 @@ race:
 faults:
 	$(GO) test -race -v -run '^TestFault' ./internal/server ./internal/durable
 
-# bench runs the batch-engine benchmarks (serial vs parallel) with
-# allocation counts.
+# bench runs the batch-engine benchmarks (serial vs parallel) and the
+# indexed top-k of one busy shard (BenchmarkTopKIndexedShard, matched
+# by the BenchmarkTopK pattern) with allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimilarityMatrix|BenchmarkTopK' -benchmem .
 

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/opencsj/csj/internal/core"
 )
 
 // This file is the batch-join engine shared by SimilarityMatrix, TopK,
@@ -182,15 +180,15 @@ func poolCanceled(done <-chan struct{}) bool {
 	}
 }
 
-// scratchPool lazily hands each pool worker its own core.Scratch, so
+// scratchPool lazily hands each pool worker its own Scratch, so
 // repeated prepared joins on one worker stop allocating scan state.
-type scratchPool []*core.Scratch
+type scratchPool []*Scratch
 
 func newScratchPool(workers int) scratchPool { return make(scratchPool, workers) }
 
-func (sp scratchPool) get(worker int) *core.Scratch {
+func (sp scratchPool) get(worker int) *Scratch {
 	if sp[worker] == nil {
-		sp[worker] = core.NewScratch()
+		sp[worker] = NewScratch()
 	}
 	return sp[worker]
 }

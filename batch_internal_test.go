@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunPoolCoversEveryTaskOnce(t *testing.T) {
@@ -29,10 +30,25 @@ func TestRunPoolCoversEveryTaskOnce(t *testing.T) {
 func TestRunPoolFirstErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
+	// Every task after 5 waits until task 5 has failed, so the rest of
+	// the queue cannot drain while the worker holding task 5 waits to
+	// run it. Tasks are claimed in index order, so task 5 is claimed
+	// before any waiter and never waits itself: no deadlock. A woken
+	// task then sleeps instead of returning at once: the failing worker
+	// may sit preempted in a run queue between its close and recording
+	// the error, and a worker that never blocks would keep the CPU and
+	// drain the queue meanwhile. Sleeping hands the CPU over; draining
+	// the rest would take ~330 ms of sleeps across three workers.
+	failed := make(chan struct{})
 	err := runPool(context.Background(), 4, 1000, func(_, i int) error {
 		ran.Add(1)
-		if i == 5 {
+		switch {
+		case i == 5:
+			close(failed)
 			return boom
+		case i > 5:
+			<-failed
+			time.Sleep(time.Millisecond)
 		}
 		return nil
 	})

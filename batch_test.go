@@ -188,3 +188,65 @@ func BenchmarkTopK(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTopKIndexedShard is the indexed top-k of one busy shard: an
+// all-candidates query over ~3000 small clustered 6-d communities
+// (64 archetypes, epsilon 1500, k = 10) with every prepared view
+// resident, so bound checks, the best-first visit and a few dozen small
+// joins make up the query. Each op queries the next of 64 pivots, one
+// per archetype.
+func BenchmarkTopKIndexedShard(b *testing.B) {
+	const n, dims, archetypes, pivots, k = 3000, 6, 64, 64, 10
+	rng := rand.New(rand.NewSource(14))
+	bases := make([][]int32, archetypes)
+	for a := range bases {
+		bases[a] = make([]int32, dims)
+		for j := range bases[a] {
+			bases[a][j] = 5000 + rng.Int31n(495000)
+		}
+	}
+	opts := &csj.Options{Epsilon: 1500, Workers: 1}
+	prep := func(name string, base []int32) *csj.PreparedCommunity {
+		users := make([]csj.Vector, 8+rng.Intn(5))
+		for u := range users {
+			users[u] = make(csj.Vector, dims)
+			for j := range users[u] {
+				users[u][j] = base[j] + rng.Int31n(200)
+			}
+		}
+		pc, err := csj.Precompute(&csj.Community{Name: name, Users: users}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pc
+	}
+	cands := make([]csj.IndexedCandidate, n)
+	for i := range cands {
+		pc := prep(fmt.Sprintf("c%04d", i), bases[i%archetypes])
+		sum, err := pc.Summarize(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cands[i] = csj.IndexedCandidate{Name: pc.Name(), Summary: sum,
+			View: func() (*csj.PreparedCommunity, error) { return pc, nil }}
+	}
+	pvs := make([]*csj.PreparedCommunity, pivots)
+	for i := range pvs {
+		pvs[i] = prep(fmt.Sprintf("pivot%02d", i), bases[i%archetypes])
+	}
+	var stats csj.IndexStats
+	iopts := *opts
+	iopts.OnIndexStats = func(s csj.IndexStats) {
+		stats.Visited += s.Visited
+		stats.Pruned += s.Pruned
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := csj.TopKIndexed(pvs[i%pivots], cands, k, &iopts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(stats.Visited)/float64(b.N), "visited/op")
+	b.ReportMetric(float64(stats.Pruned)/float64(b.N), "pruned/op")
+}

@@ -1,9 +1,11 @@
 package csj
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/opencsj/csj/internal/index"
@@ -258,11 +260,11 @@ func indexOrder(pivot *PreparedCommunity, candidates []IndexedCandidate, o *Opti
 		ub := upperBoundPairsOpts(ps, cs, o)
 		order = append(order, boundEntry{idx: i, bound: float64(ub) / float64(bSize)})
 	}
-	sort.Slice(order, func(x, y int) bool {
-		if order[x].bound != order[y].bound {
-			return order[x].bound > order[y].bound
+	slices.SortFunc(order, func(x, y boundEntry) int {
+		if c := cmp.Compare(y.bound, x.bound); c != 0 {
+			return c
 		}
-		return order[x].idx < order[y].idx
+		return cmp.Compare(x.idx, y.idx)
 	})
 	return order, skipped, nil
 }
@@ -322,7 +324,7 @@ func topKIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []Ind
 			return nil, err
 		}
 		b, a := orientPrepared(pivot, pc)
-		res, err := similarityPrepared(ctx, b, a, ExMinMax, o, &sc.s)
+		res, err := similarityPrepared(ctx, b, a, ExMinMax, o, &sc)
 		if err != nil {
 			if errors.Is(err, ErrSizeConstraint) {
 				// Unreachable when summaries match their communities
@@ -489,7 +491,7 @@ func rankAboveIndexed(ctx context.Context, pivot *PreparedCommunity, candidates 
 		}
 		entry := Ranked{Index: e.idx, Name: candName(&candidates[e.idx], pc)}
 		b, a := orientPrepared(pivot, pc)
-		res, err := similarityPrepared(ctx, b, a, method, o, &sc.s)
+		res, err := similarityPrepared(ctx, b, a, method, o, &sc)
 		switch {
 		case err == nil:
 			stats.Visited++

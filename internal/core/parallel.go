@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -58,14 +57,15 @@ func ExMinMaxParallel(b, a *vector.Community, opts Options, workers int) (*Resul
 	}
 
 	res := &Result{}
-	var edges [][2]int32
+	// The matcher reads the graph's CSR form, which depends on the edge
+	// multiset only: the pairs are the same for every worker count and
+	// every interleaving of the workers' tiles.
+	merged := matching.NewGraph()
 	if workers <= 1 {
-		g := matching.NewGraph()
-		scanWindowCollect(in, 0, len(in.BID), 0, g, &res.Events)
+		scanWindowCollect(in, 0, len(in.BID), 0, merged, &res.Events)
 		if canceled(in.Done) {
 			return nil, ErrCanceled
 		}
-		edges = g.AppendEdges(edges)
 	} else {
 		type shard struct {
 			graph  *matching.Graph
@@ -101,33 +101,16 @@ func ExMinMaxParallel(b, a *vector.Community, opts Options, workers int) (*Resul
 		if canceled(in.Done) {
 			return nil, ErrCanceled
 		}
-		// Merge the shard graphs in (bPos, aPos) edge order rather than
-		// shard-interleaved order, so the matcher sees one canonical
-		// graph: CSF's tie-breaking then yields the same pairs for every
-		// worker count (Hopcroft–Karp is order-independent anyway).
 		for w := range shards {
 			if shards[w].graph == nil {
 				continue
 			}
 			res.Events.Add(shards[w].events)
-			edges = shards[w].graph.AppendEdges(edges)
+			merged.Merge(shards[w].graph)
 		}
 	}
-	// AppendEdges walks adjacency maps, so canonicalize the edge order
-	// regardless of how many workers collected: the matcher then sees
-	// one deterministic graph for every worker count and every run.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
 
-	if len(edges) > 0 {
-		merged := matching.NewGraph()
-		for _, e := range edges {
-			merged.AddEdge(e[0], e[1])
-		}
+	if merged.Edges() > 0 {
 		res.Events.CSFCalls++
 		pairs := opts.matcher()(merged)
 		positions := make([][2]int, len(pairs))

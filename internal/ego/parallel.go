@@ -69,11 +69,7 @@ func ExSuperEGOParallel(b, a *vector.Community, opts Options, workers int) (*cor
 			continue
 		}
 		res.Events.Add(shards[w].events)
-		for _, bi := range shards[w].graph.BUsers() {
-			for _, ai := range shards[w].graph.Matches(bi) {
-				merged.AddEdge(bi, ai)
-			}
-		}
+		merged.Merge(shards[w].graph)
 	}
 	if merged.Edges() > 0 {
 		res.Events.CSFCalls++

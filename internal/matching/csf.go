@@ -1,7 +1,5 @@
 package matching
 
-import "sort"
-
 // CSF is the paper's Cover Smallest First function (Section 4.2). It
 // selects one-to-one pairs from the match graph by repeatedly covering
 // the user with the fewest remaining matches first, pairing it with its
@@ -11,13 +9,17 @@ import "sort"
 // optimal guarantee is required.
 //
 // The returned pairs are deterministic for a given graph: ties are broken
-// toward the B side and then toward smaller user IDs.
+// toward the B side and then toward smaller user IDs. The returned slice
+// is freshly allocated; every other piece of working state lives in the
+// graph and is reused by the next call.
 func CSF(g *Graph) []Pair {
 	if g.Edges() == 0 {
 		return nil
 	}
-	s := newCSFState(g)
-	pairs := make([]Pair, 0, min(len(s.bIDs), len(s.aIDs)))
+	g.dense()
+	s := &g.csf
+	s.init(g)
+	pairs := make([]Pair, 0, min(len(g.ids[sideB]), len(g.ids[sideA])))
 	for {
 		sB, okB := s.peekMin(sideB)
 		sA, okA := s.peekMin(sideA)
@@ -29,123 +31,99 @@ func CSF(g *Graph) []Pair {
 		var b, a int
 		switch {
 		case s.deg[sideB][sB] < s.deg[sideA][sA]:
-			b, a = sB, s.minNeighbor(sideB, sB)
+			b, a = sB, s.minNeighbor(g, sideB, sB)
 		case s.deg[sideB][sB] > s.deg[sideA][sA]:
-			a, b = sA, s.minNeighbor(sideA, sA)
+			a, b = sA, s.minNeighbor(g, sideA, sA)
 		default:
 			// Tie: the paper covers the B side first, falling back to the
 			// A side unless B's choice already pins a single-match user.
 			// We realize that as "take the pair with minimum connections
 			// in B and A", preferring the B side on a further tie.
-			bCandA := s.minNeighbor(sideB, sB)
-			aCandB := s.minNeighbor(sideA, sA)
+			bCandA := s.minNeighbor(g, sideB, sB)
+			aCandB := s.minNeighbor(g, sideA, sA)
 			if s.deg[sideB][sB]+s.deg[sideA][bCandA] <= s.deg[sideB][aCandB]+s.deg[sideA][sA] {
 				b, a = sB, bCandA
 			} else {
 				b, a = aCandB, sA
 			}
 		}
-		pairs = append(pairs, Pair{B: s.bIDs[b], A: s.aIDs[a]})
-		s.cover(b, a)
+		pairs = append(pairs, Pair{B: g.ids[sideB][b], A: g.ids[sideA][a]})
+		s.cover(g, b, a)
 	}
 	return pairs
 }
 
-const (
-	sideB = 0
-	sideA = 1
-)
-
-// csfState is the dense-index working state of CSF: the paper's
-// matched_B / matched_A adjacency plus the sortedM_B / sortedM_A
-// degree-ordered maps, realized as bucket queues with lazy deletion.
+// csfState is CSF's working state over the graph's CSR: per user an
+// alive flag and its remaining degree, plus the paper's sortedM_B /
+// sortedM_A degree-ordered maps, realized as bucket queues with lazy
+// deletion. It belongs to its Graph and keeps its capacity across calls.
 type csfState struct {
-	bIDs, aIDs []int32      // dense index -> real ID, ascending
-	adj        [2][][]int32 // adj[sideB][b] lists dense A indexes, and vice versa
-	alive      [2][]bool
-	deg        [2][]int
-	buckets    [2][][]int32 // buckets[side][d] holds dense indexes with (stale) degree d
-	minDeg     [2]int
+	alive   [2][]bool
+	deg     [2][]int32
+	buckets [2][]bucket // buckets[side][d] queues dense users of (possibly stale) degree d
+	minDeg  [2]int
 }
 
-func newCSFState(g *Graph) *csfState {
-	s := &csfState{}
-	s.bIDs = g.BUsers()
-	s.aIDs = make([]int32, 0, len(g.aAdj))
-	for a := range g.aAdj {
-		s.aIDs = append(s.aIDs, a)
-	}
-	sort.Slice(s.aIDs, func(i, j int) bool { return s.aIDs[i] < s.aIDs[j] })
+// bucket is a FIFO queue: items before head are consumed. Exhausted
+// queues rewind to the start instead of dropping their storage.
+type bucket struct {
+	items []int32
+	head  int
+}
 
-	bIdx := make(map[int32]int, len(s.bIDs))
-	for i, id := range s.bIDs {
-		bIdx[id] = i
-	}
-	aIdx := make(map[int32]int, len(s.aIDs))
-	for i, id := range s.aIDs {
-		aIdx[id] = i
-	}
-
-	s.adj[sideB] = make([][]int32, len(s.bIDs))
-	s.adj[sideA] = make([][]int32, len(s.aIDs))
-	for i, id := range s.bIDs {
-		src := g.bAdj[id]
-		dst := make([]int32, len(src))
-		for j, a := range src {
-			dst[j] = int32(aIdx[a])
-		}
-		sort.Slice(dst, func(x, y int) bool { return dst[x] < dst[y] })
-		s.adj[sideB][i] = dst
-	}
-	for i, id := range s.aIDs {
-		src := g.aAdj[id]
-		dst := make([]int32, len(src))
-		for j, b := range src {
-			dst[j] = int32(bIdx[b])
-		}
-		sort.Slice(dst, func(x, y int) bool { return dst[x] < dst[y] })
-		s.adj[sideA][i] = dst
-	}
-
-	for side := 0; side < 2; side++ {
-		n := len(s.adj[side])
-		s.alive[side] = make([]bool, n)
-		s.deg[side] = make([]int, n)
+// init sizes the state for g's CSR and queues every user in its
+// degree bucket, ascending by dense index.
+func (s *csfState) init(g *Graph) {
+	for side := range 2 {
+		n := len(g.ids[side])
+		off := g.off[side]
+		alive := grow(s.alive[side], n)
+		deg := grow(s.deg[side], n)
 		maxDeg := 0
-		for i, nbrs := range s.adj[side] {
-			s.alive[side][i] = true
-			s.deg[side][i] = len(nbrs)
-			if len(nbrs) > maxDeg {
-				maxDeg = len(nbrs)
-			}
+		for u := range n {
+			alive[u] = true
+			d := int(off[u+1] - off[u])
+			deg[u] = int32(d)
+			maxDeg = max(maxDeg, d)
 		}
-		s.buckets[side] = make([][]int32, maxDeg+1)
-		for i, d := range s.deg[side] {
-			s.buckets[side][d] = append(s.buckets[side][d], int32(i))
+		qs := grow(s.buckets[side], maxDeg+1)
+		for d := range qs {
+			qs[d].items, qs[d].head = qs[d].items[:0], 0
 		}
+		for u, d := range deg {
+			qs[d].items = append(qs[d].items, int32(u))
+		}
+		s.alive[side], s.deg[side], s.buckets[side] = alive, deg, qs
 		s.minDeg[side] = 1
 	}
-	return s
+}
+
+// grow returns s resized to n elements, reusing its storage when the
+// capacity suffices. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // peekMin returns the alive user with the smallest positive degree on
 // the given side, without removing it. Stale bucket entries (dead users
 // or entries pushed for an outdated degree) are discarded lazily.
 func (s *csfState) peekMin(side int) (int, bool) {
-	for d := s.minDeg[side]; d < len(s.buckets[side]); d++ {
-		bucket := s.buckets[side][d]
-		for len(bucket) > 0 {
-			u := bucket[0]
-			if s.alive[side][u] && s.deg[side][u] == d {
-				s.buckets[side][d] = bucket
+	qs := s.buckets[side]
+	for d := s.minDeg[side]; d < len(qs); d++ {
+		q := &qs[d]
+		for ; q.head < len(q.items); q.head++ {
+			u := q.items[q.head]
+			if s.alive[side][u] && int(s.deg[side][u]) == d {
 				s.minDeg[side] = d
 				return int(u), true
 			}
-			bucket = bucket[1:]
 		}
-		s.buckets[side][d] = nil
+		q.items, q.head = q.items[:0], 0
 	}
-	s.minDeg[side] = len(s.buckets[side])
+	s.minDeg[side] = len(qs)
 	return 0, false
 }
 
@@ -153,10 +131,10 @@ func (s *csfState) peekMin(side int) (int, bool) {
 // smallest degree, breaking ties toward smaller dense index (and hence
 // smaller real ID). u is guaranteed to have an alive neighbour because
 // degrees are kept exact.
-func (s *csfState) minNeighbor(side, u int) int {
+func (s *csfState) minNeighbor(g *Graph, side, u int) int {
 	other := 1 - side
-	best, bestDeg := -1, int(^uint(0)>>1)
-	for _, v := range s.adj[side][u] {
+	best, bestDeg := -1, int32(1<<31-1)
+	for _, v := range g.row(side, u) {
 		if !s.alive[other][v] {
 			continue
 		}
@@ -173,15 +151,15 @@ func (s *csfState) minNeighbor(side, u int) int {
 // cover commits the pair (dense indexes b, a): both users die and every
 // alive neighbour's degree drops, with a fresh bucket entry pushed so
 // the sorted maps stay current.
-func (s *csfState) cover(b, a int) {
+func (s *csfState) cover(g *Graph, b, a int) {
 	s.alive[sideB][b] = false
 	s.alive[sideA][a] = false
-	for _, v := range s.adj[sideB][b] {
+	for _, v := range g.row(sideB, b) {
 		if int(v) != a && s.alive[sideA][v] {
 			s.decay(sideA, int(v))
 		}
 	}
-	for _, v := range s.adj[sideA][a] {
+	for _, v := range g.row(sideA, a) {
 		if int(v) != b && s.alive[sideB][v] {
 			s.decay(sideB, int(v))
 		}
@@ -190,13 +168,13 @@ func (s *csfState) cover(b, a int) {
 
 func (s *csfState) decay(side, u int) {
 	s.deg[side][u]--
-	d := s.deg[side][u]
+	d := int(s.deg[side][u])
 	if d == 0 {
 		// No remaining matches: the user can never be covered.
 		s.alive[side][u] = false
 		return
 	}
-	s.buckets[side][d] = append(s.buckets[side][d], int32(u))
+	s.buckets[side][d].items = append(s.buckets[side][d].items, int32(u))
 	if d < s.minDeg[side] {
 		s.minDeg[side] = d
 	}

@@ -10,18 +10,17 @@ func Greedy(g *Graph) []Pair {
 	if g.Edges() == 0 {
 		return nil
 	}
-	usedA := make(map[int32]bool, len(g.aAdj))
-	pairs := make([]Pair, 0, min(len(g.bAdj), len(g.aAdj)))
-	for _, b := range g.BUsers() {
-		best := int32(-1)
-		for _, a := range g.bAdj[b] {
-			if !usedA[a] && (best < 0 || a < best) {
-				best = a
+	g.dense()
+	usedA := make([]bool, len(g.ids[sideA]))
+	pairs := make([]Pair, 0, min(len(g.ids[sideB]), len(g.ids[sideA])))
+	for b := range g.ids[sideB] {
+		// Rows ascend, so the first free neighbour has the smallest ID.
+		for _, a := range g.row(sideB, b) {
+			if !usedA[a] {
+				usedA[a] = true
+				pairs = append(pairs, Pair{B: g.ids[sideB][b], A: g.ids[sideA][a]})
+				break
 			}
-		}
-		if best >= 0 {
-			usedA[best] = true
-			pairs = append(pairs, Pair{B: b, A: best})
 		}
 	}
 	return pairs

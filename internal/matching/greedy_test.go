@@ -54,11 +54,11 @@ func TestGreedyProperties(t *testing.T) {
 			}
 			usedB[p.B], usedA[p.A] = true, true
 		}
-		for _, b := range g.BUsers() {
+		for _, b := range bUsers(g) {
 			if usedB[b] {
 				continue
 			}
-			for _, a := range g.Matches(b) {
+			for _, a := range matches(g, b) {
 				if !usedA[a] {
 					return false
 				}

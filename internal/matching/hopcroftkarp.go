@@ -1,7 +1,5 @@
 package matching
 
-import "sort"
-
 // HopcroftKarp computes a maximum one-to-one matching of the match
 // graph in O(E * sqrt(V)). The CSJ paper's exact methods use the CSF
 // heuristic; HopcroftKarp serves as the optimality oracle in tests and
@@ -11,26 +9,8 @@ func HopcroftKarp(g *Graph) []Pair {
 	if g.Edges() == 0 {
 		return nil
 	}
-	bIDs := g.BUsers()
-	aIDs := make([]int32, 0, len(g.aAdj))
-	for a := range g.aAdj {
-		aIDs = append(aIDs, a)
-	}
-	sort.Slice(aIDs, func(i, j int) bool { return aIDs[i] < aIDs[j] })
-	aIdx := make(map[int32]int, len(aIDs))
-	for i, id := range aIDs {
-		aIdx[id] = i
-	}
-	adj := make([][]int32, len(bIDs))
-	for i, id := range bIDs {
-		src := g.bAdj[id]
-		dst := make([]int32, len(src))
-		for j, a := range src {
-			dst[j] = int32(aIdx[a])
-		}
-		sort.Slice(dst, func(x, y int) bool { return dst[x] < dst[y] })
-		adj[i] = dst
-	}
+	g.dense()
+	bIDs, aIDs := g.ids[sideB], g.ids[sideA]
 
 	const unmatched = -1
 	matchB := make([]int32, len(bIDs)) // b -> a (dense) or -1
@@ -61,7 +41,7 @@ func HopcroftKarp(g *Graph) []Pair {
 		found := false
 		for head := 0; head < len(queue); head++ {
 			b := queue[head]
-			for _, a := range adj[b] {
+			for _, a := range g.row(sideB, int(b)) {
 				nb := matchA[a]
 				if nb == unmatched {
 					found = true
@@ -77,7 +57,7 @@ func HopcroftKarp(g *Graph) []Pair {
 	// dfs follows layered edges to augment along a shortest path.
 	var dfs func(b int32) bool
 	dfs = func(b int32) bool {
-		for _, a := range adj[b] {
+		for _, a := range g.row(sideB, int(b)) {
 			nb := matchA[a]
 			if nb == unmatched || (dist[nb] == dist[b]+1 && dfs(nb)) {
 				matchB[b] = a

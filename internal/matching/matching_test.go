@@ -3,9 +3,28 @@ package matching
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// bUsers returns the distinct B users of g's recorded edges, ascending.
+func bUsers(g *Graph) []int32 {
+	bs := slices.Clone(g.ends[sideB])
+	slices.Sort(bs)
+	return slices.Compact(bs)
+}
+
+// matches returns the A users of b's recorded edges.
+func matches(g *Graph, b int32) []int32 {
+	var as []int32
+	for i, e := range g.ends[sideB] {
+		if e == b {
+			as = append(as, g.ends[sideA][i])
+		}
+	}
+	return as
+}
 
 func buildGraph(edges [][2]int32) *Graph {
 	g := NewGraph()
@@ -30,7 +49,7 @@ func validMatching(t *testing.T, g *Graph, pairs []Pair) {
 		}
 		seenB[p.B], seenA[p.A] = true, true
 		found := false
-		for _, a := range g.Matches(p.B) {
+		for _, a := range matches(g, p.B) {
 			if a == p.A {
 				found = true
 				break
@@ -45,7 +64,7 @@ func validMatching(t *testing.T, g *Graph, pairs []Pair) {
 // bruteForceMax computes the maximum matching size by exhaustive search.
 // Only usable on tiny graphs.
 func bruteForceMax(g *Graph) int {
-	bs := g.BUsers()
+	bs := bUsers(g)
 	usedA := map[int32]bool{}
 	var rec func(i int) int
 	rec = func(i int) int {
@@ -53,7 +72,7 @@ func bruteForceMax(g *Graph) int {
 			return 0
 		}
 		best := rec(i + 1) // skip bs[i]
-		for _, a := range g.Matches(bs[i]) {
+		for _, a := range matches(g, bs[i]) {
 			if usedA[a] {
 				continue
 			}
@@ -272,11 +291,11 @@ func TestCSFIsMaximal(t *testing.T) {
 		for _, p := range pairs {
 			usedB[p.B], usedA[p.A] = true, true
 		}
-		for _, b := range g.BUsers() {
+		for _, b := range bUsers(g) {
 			if usedB[b] {
 				continue
 			}
-			for _, a := range g.Matches(b) {
+			for _, a := range matches(g, b) {
 				if !usedA[a] {
 					return false // uncovered edge left behind
 				}
@@ -291,11 +310,11 @@ func TestCSFIsMaximal(t *testing.T) {
 
 func TestGraphReset(t *testing.T) {
 	g := buildGraph([][2]int32{{1, 1}, {2, 2}})
-	if g.Edges() != 2 || g.BCount() != 2 || g.ACount() != 2 {
+	if g.Edges() != 2 || len(bUsers(g)) != 2 {
 		t.Fatal("graph should hold 2 edges before reset")
 	}
 	g.Reset()
-	if g.Edges() != 0 || g.BCount() != 0 || g.ACount() != 0 {
+	if g.Edges() != 0 || len(bUsers(g)) != 0 {
 		t.Fatal("graph should be empty after reset")
 	}
 	g.AddEdge(5, 6)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -101,9 +102,13 @@ func jsonBody(v any) *bytes.Reader {
 // mutation — and reads that include a churning id must either miss
 // cleanly (404) or answer completely (200 with every cell present),
 // never a torn in-between. Afterwards the server must not leak
-// goroutines.
+// goroutines. The admission cap is raised to the test's own
+// concurrency: the property under test is snapshot isolation, and the
+// default cap of 2*GOMAXPROCS would shed some of the readers with 429.
 func TestSnapshotIsolationUnderChurn(t *testing.T) {
-	ts := newTestServer(t)
+	const writers, stableReaders, racingReaders = 2, 4, 1
+	ts := httptest.NewServer(NewWithConfig(nil, Config{MaxInFlight: writers + stableReaders + racingReaders}))
+	t.Cleanup(ts.Close)
 	rng := rand.New(rand.NewSource(7))
 	stable := make([]int64, 4)
 	for i := range stable {
@@ -133,7 +138,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	stop := make(chan struct{})
 
 	// Writers: churn scratch communities as fast as the server admits.
-	for w := 0; w < 2; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -156,7 +161,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	}
 
 	// Stable readers: the answer must never change under churn.
-	for r := 0; r < 4; r++ {
+	for r := 0; r < stableReaders; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()

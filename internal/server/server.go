@@ -603,12 +603,26 @@ func minMaxMethod(m csj.Method) bool {
 	return m == csj.ApMinMax || m == csj.ExMinMax
 }
 
-// preparedViews resolves one cached view per id from the snapshot,
-// building (or joining an in-flight build of) any that are missing.
-func preparedViews(snap *store.Snapshot, ids []int64, opts *csj.Options) ([]*csj.PreparedCommunity, error) {
-	out := make([]*csj.PreparedCommunity, len(ids))
+// lookupAll resolves every id to its entry, failing on the first id
+// the snapshot does not hold.
+func lookupAll(snap *store.Snapshot, ids []int64) ([]*store.Entry, error) {
+	out := make([]*store.Entry, len(ids))
 	for i, id := range ids {
-		pc, err := snap.PreparedSpec(id, opts.Spec())
+		e, err := lookup(snap, id)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = e
+	}
+	return out, nil
+}
+
+// preparedViews resolves one cached view per entry from the snapshot,
+// building (or joining an in-flight build of) any that are missing.
+func preparedViews(snap *store.Snapshot, ents []*store.Entry, opts *csj.Options) ([]*csj.PreparedCommunity, error) {
+	out := make([]*csj.PreparedCommunity, len(ents))
+	for i, e := range ents {
+		pc, err := snap.PreparedSpec(e.ID, opts.Spec())
 		if err != nil {
 			return nil, err
 		}
@@ -617,51 +631,44 @@ func preparedViews(snap *store.Snapshot, ids []int64, opts *csj.Options) ([]*csj
 	return out, nil
 }
 
-// allCandidateIDs lists every stored community except the pivot, in
+// allCandidates lists every stored community except the pivot, in
 // ascending id order (the snapshot's own ordering).
-func allCandidateIDs(snap *store.Snapshot, pivot int64) []int64 {
+func allCandidates(snap *store.Snapshot, pivot int64) []*store.Entry {
 	list := snap.List()
-	ids := make([]int64, 0, len(list))
+	out := make([]*store.Entry, 0, len(list))
 	for _, e := range list {
 		if e.ID != pivot {
-			ids = append(ids, e.ID)
+			out = append(out, e)
 		}
 	}
-	return ids
+	return out
 }
 
-// entrySummary returns the store-maintained pruning summary of id,
+// entrySummary returns the store-maintained pruning summary of e,
 // summarizing on the fly when the store runs with summaries disabled.
-func entrySummary(snap *store.Snapshot, id int64) (*csj.CommunitySummary, error) {
-	e, ok := snap.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("no community %d", id)
-	}
+func entrySummary(e *store.Entry) (*csj.CommunitySummary, error) {
 	if e.Summary != nil {
 		return e.Summary, nil
 	}
 	sum, err := csj.SummarizeCommunity(e.Comm, 0)
 	if err != nil {
-		return nil, fmt.Errorf("summarizing community %d: %w", id, err)
+		return nil, fmt.Errorf("summarizing community %d: %w", e.ID, err)
 	}
 	return sum, nil
 }
 
-// indexedCandidates builds the envelope-index view of a candidate set:
-// each candidate pairs its summary with a lazy prepared-view resolver,
-// so only the candidates the engine actually joins get encoded.
-func indexedCandidates(snap *store.Snapshot, ids []int64, opts *csj.Options) ([]csj.IndexedCandidate, error) {
-	out := make([]csj.IndexedCandidate, len(ids))
-	for i, id := range ids {
-		e, ok := snap.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("no community %d", id)
-		}
-		sum, err := entrySummary(snap, id)
+// indexedCandidates builds the envelope-index view of a candidate set
+// straight from its entries: each candidate pairs its summary with a
+// lazy prepared-view resolver, so only the candidates the engine
+// actually joins get encoded.
+func indexedCandidates(snap *store.Snapshot, ents []*store.Entry, opts *csj.Options) ([]csj.IndexedCandidate, error) {
+	out := make([]csj.IndexedCandidate, len(ents))
+	for i, e := range ents {
+		sum, err := entrySummary(e)
 		if err != nil {
 			return nil, err
 		}
-		id := id
+		id := e.ID
 		out[i] = csj.IndexedCandidate{
 			Name:    e.Comm.Name,
 			Summary: sum,
@@ -675,10 +682,10 @@ func indexedCandidates(snap *store.Snapshot, ids []int64, opts *csj.Options) ([]
 
 // candidateIndex builds the candidate-aligned Index that Options.Index
 // expects, from the store's entry summaries.
-func candidateIndex(snap *store.Snapshot, ids []int64) (*csj.Index, error) {
-	sums := make([]*csj.CommunitySummary, len(ids))
-	for i, id := range ids {
-		sum, err := entrySummary(snap, id)
+func candidateIndex(ents []*store.Entry) (*csj.Index, error) {
+	sums := make([]*csj.CommunitySummary, len(ents))
+	for i, e := range ents {
+		sum, err := entrySummary(e)
 		if err != nil {
 			return nil, err
 		}
@@ -720,7 +727,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	if minMaxMethod(method) {
 		// MinMax joins run on cached prepared views: after warmup,
 		// repeated requests over stored communities re-encode nothing.
-		views, verr := preparedViews(snap, []int64{b.ID, a.ID}, opts)
+		views, verr := preparedViews(snap, []*store.Entry{b, a}, opts)
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
 			return
@@ -760,19 +767,17 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, err)
 		return
 	}
+	var cands []*store.Entry
 	if req.AllCandidates {
 		if len(req.Candidates) > 0 {
 			s.writeErr(w, http.StatusBadRequest,
 				errors.New("all_candidates excludes an explicit candidate list"))
 			return
 		}
-		req.Candidates = allCandidateIDs(snap, req.Pivot)
-	}
-	for _, id := range req.Candidates {
-		if _, err := lookup(snap, id); err != nil {
-			s.writeErr(w, http.StatusNotFound, err)
-			return
-		}
+		cands = allCandidates(snap, req.Pivot)
+	} else if cands, err = lookupAll(snap, req.Candidates); err != nil {
+		s.writeErr(w, http.StatusNotFound, err)
+		return
 	}
 	method, err := csj.ParseMethod(req.Method)
 	if err != nil {
@@ -802,7 +807,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
 		var ics []csj.IndexedCandidate
 		if verr == nil {
-			ics, verr = indexedCandidates(snap, req.Candidates, opts)
+			ics, verr = indexedCandidates(snap, cands, opts)
 		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
@@ -813,7 +818,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
 		var views []*csj.PreparedCommunity
 		if verr == nil {
-			views, verr = preparedViews(snap, req.Candidates, opts)
+			views, verr = preparedViews(snap, cands, opts)
 		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
@@ -824,7 +829,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
 		var views []*csj.PreparedCommunity
 		if verr == nil {
-			views, verr = preparedViews(snap, req.Candidates, opts)
+			views, verr = preparedViews(snap, cands, opts)
 		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
@@ -833,7 +838,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		if req.UseIndex {
 			// Full ranking must score every candidate, but provably-zero
 			// candidates skip their joins (DESIGN.md §12).
-			ix, ierr := candidateIndex(snap, req.Candidates)
+			ix, ierr := candidateIndex(cands)
 			if ierr != nil {
 				s.writeJoinErr(w, r, ierr)
 				return
@@ -842,12 +847,11 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		}
 		ranked, err = csj.RankPreparedCtx(r.Context(), pv, views, method, s.instrumentOptions(opts))
 	default:
-		cands := make([]*csj.Community, len(req.Candidates))
-		for i, id := range req.Candidates {
-			e, _ := snap.Get(id) // presence checked above; same snapshot
-			cands[i] = e.Comm
+		comms := make([]*csj.Community, len(cands))
+		for i, e := range cands {
+			comms[i] = e.Comm
 		}
-		ranked, err = csj.RankCtx(r.Context(), pivot.Comm, cands, method, s.instrumentOptions(opts))
+		ranked, err = csj.RankCtx(r.Context(), pivot.Comm, comms, method, s.instrumentOptions(opts))
 	}
 	if err != nil {
 		s.writeJoinErr(w, r, err)
@@ -855,7 +859,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]RankEntry, len(ranked))
 	for i, e := range ranked {
-		out[i] = RankEntry{Community: req.Candidates[e.Index], Name: e.Name, Skipped: e.Skipped}
+		out[i] = RankEntry{Community: cands[e.Index].ID, Name: e.Name, Skipped: e.Skipped}
 		if e.Result != nil {
 			out[i].Similarity = e.Result.Similarity
 		}
@@ -877,19 +881,17 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, err)
 		return
 	}
+	var cands []*store.Entry
 	if req.AllCandidates {
 		if len(req.Candidates) > 0 {
 			s.writeErr(w, http.StatusBadRequest,
 				errors.New("all_candidates excludes an explicit candidate list"))
 			return
 		}
-		req.Candidates = allCandidateIDs(snap, req.Pivot)
-	}
-	for _, id := range req.Candidates {
-		if _, err := lookup(snap, id); err != nil {
-			s.writeErr(w, http.StatusNotFound, err)
-			return
-		}
+		cands = allCandidates(snap, req.Pivot)
+	} else if cands, err = lookupAll(snap, req.Candidates); err != nil {
+		s.writeErr(w, http.StatusNotFound, err)
+		return
 	}
 	opts, err := req.Options.toOptions()
 	if err != nil {
@@ -906,14 +908,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	var top []csj.TopKResult
 	if req.UseIndex {
-		ics, ierr := indexedCandidates(snap, req.Candidates, opts)
+		ics, ierr := indexedCandidates(snap, cands, opts)
 		if ierr != nil {
 			s.writeJoinErr(w, r, ierr)
 			return
 		}
 		top, err = csj.TopKIndexedCtx(r.Context(), pv, ics, req.K, s.instrumentOptions(opts))
 	} else {
-		views, verr := preparedViews(snap, req.Candidates, opts)
+		views, verr := preparedViews(snap, cands, opts)
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
 			return
@@ -927,7 +929,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	out := make([]TopKEntry, len(top))
 	for i, e := range top {
 		out[i] = TopKEntry{
-			Community: req.Candidates[e.Index],
+			Community: cands[e.Index].ID,
 			Name:      e.Name,
 			Approx:    e.ApproxSimilarity,
 			Skipped:   e.Skipped,
@@ -951,11 +953,10 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.store.Snapshot()
-	for _, id := range req.Communities {
-		if _, err := lookup(snap, id); err != nil {
-			s.writeErr(w, http.StatusNotFound, err)
-			return
-		}
+	ents, err := lookupAll(snap, req.Communities)
+	if err != nil {
+		s.writeErr(w, http.StatusNotFound, err)
+		return
 	}
 	if req.Method == "" {
 		req.Method = "exminmax"
@@ -972,7 +973,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	// The matrix is MinMax-only; the cells run straight on cached views,
 	// so a warmed-up matrix performs zero core.Prepare calls.
-	views, err := preparedViews(snap, req.Communities, opts)
+	views, err := preparedViews(snap, ents, opts)
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return

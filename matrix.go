@@ -109,12 +109,15 @@ func SimilarityPreparedCtx(ctx context.Context, b, a *PreparedCommunity, method 
 }
 
 // similarityPrepared is the scratch-aware prepared join behind
-// SimilarityPrepared and the batch engines. o must already be
-// defaulted; s may be nil for a one-shot run.
-func similarityPrepared(ctx context.Context, b, a *PreparedCommunity, method Method, o *Options, s *core.Scratch) (*Result, error) {
+// SimilarityPrepared and the batch engines: it reuses sc's scan state
+// and core pairs buffer and returns a freshly allocated Result. o must
+// already be defaulted; sc may be nil for a one-shot run.
+func similarityPrepared(ctx context.Context, b, a *PreparedCommunity, method Method, o *Options, sc *Scratch) (*Result, error) {
+	if sc == nil {
+		sc = NewScratch()
+	}
 	out := &Result{}
-	var cres core.Result
-	if err := similarityPreparedInto(ctx, b, a, method, o, s, &cres, out); err != nil {
+	if err := similarityPreparedInto(ctx, b, a, method, o, &sc.s, &sc.cres, out); err != nil {
 		return nil, err
 	}
 	return out, nil
